@@ -39,6 +39,24 @@ PreparedJoin PrepareJoin(uint64_t r_size, uint64_t s_size, double zr,
   return prepared;
 }
 
+void OracleCheck::Check(const std::string& row, const char* column,
+                        uint64_t outputs, uint64_t checksum) {
+  const auto [it, first] =
+      oracles_.try_emplace(row, std::make_pair(outputs, checksum));
+  if (first) {
+    std::printf("oracle %s: outputs=%llu checksum=0x%016llx\n", row.c_str(),
+                static_cast<unsigned long long>(outputs),
+                static_cast<unsigned long long>(checksum));
+    return;
+  }
+  if (it->second == std::make_pair(outputs, checksum)) return;
+  std::printf("ERROR: %s %s diverges from the oracle: outputs=%llu "
+              "checksum=0x%016llx\n",
+              row.c_str(), column, static_cast<unsigned long long>(outputs),
+              static_cast<unsigned long long>(checksum));
+  ok_ = false;
+}
+
 RunStats MeasureProbe(Executor& exec, const PreparedJoin& prepared,
                       bool early_exit, uint32_t reps) {
   RunStats best;
@@ -123,9 +141,9 @@ void PerfJsonFields(JsonWriter* json, const PerfCounters::Sample& perf) {
 }
 
 std::string SkewLabel(double zr, double zs) {
-  char buf[32];
+  char buf[64];
   auto one = [](double z) {
-    char b[8];
+    char b[32];  // room for any %.2g rendering, e.g. "-1.2e+308"
     if (z == 0.0) return std::string("0");
     if (z == 1.0) return std::string("1");
     std::snprintf(b, sizeof(b), "%.2g", z);

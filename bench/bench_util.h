@@ -12,8 +12,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -40,6 +42,25 @@ inline constexpr ExecPolicy kPaperPolicies[] = {
 inline const char* SeriesName(ExecPolicy p) {
   return p == ExecPolicy::kSequential ? "Baseline" : ExecPolicyName(p);
 }
+
+/// Self-check of a policy sweep: every column of a row must reproduce the
+/// row's oracle — its kSequential column, which kPaperPolicies list first —
+/// bitwise (outputs and checksum).  Prints the first result of each row as
+/// that row's oracle line, and an ERROR line for every divergence; ok()
+/// gives the bench's exit status.
+class OracleCheck {
+ public:
+  /// Record `row`'s result under `column`; the row's first record is the
+  /// oracle.
+  void Check(const std::string& row, const char* column, uint64_t outputs,
+             uint64_t checksum);
+  bool ok() const { return ok_; }
+
+ private:
+  /// Row -> oracle (outputs, checksum).
+  std::map<std::string, std::pair<uint64_t, uint64_t>> oracles_;
+  bool ok_ = true;
+};
 
 /// Standard flags shared by the figure benches; individual benches may add
 /// their own before calling Parse.

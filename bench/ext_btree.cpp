@@ -11,7 +11,6 @@
 #include "bench_util.h"
 #include "btree/btree.h"
 #include "btree/btree_ops.h"
-#include "btree/btree_search.h"
 #include "common/cycle_timer.h"
 #include "common/table_printer.h"
 #include "core/scheduler.h"
@@ -20,22 +19,23 @@
 namespace amac::bench {
 namespace {
 
-uint64_t Measure(const BTree& tree, const Relation& probe, ExecPolicy policy,
+/// Min-cycles run of one policy over the one BTreeSearchOp stage machine;
+/// outputs/checksum are the matches (kSequential is the no-prefetch
+/// Baseline column and the oracle).
+RunStats Measure(const BTree& tree, const Relation& probe, ExecPolicy policy,
                  uint32_t m, uint32_t reps) {
   const SchedulerParams params{m, tree.height()};
-  uint64_t best = UINT64_MAX;
+  RunStats best;
   for (uint32_t rep = 0; rep < std::max(1u, reps); ++rep) {
     CountChecksumSink sink;
+    BTreeSearchOp<CountChecksumSink> op(tree, probe, sink);
     CycleTimer timer;
-    if (policy == ExecPolicy::kSequential) {
-      // No-prefetch pointer chase: the anchor the speedups are measured
-      // against, kept hand-written like the paper's baseline.
-      BTreeSearchBaseline(tree, probe, 0, probe.size(), sink);
-    } else {
-      BTreeSearchOp<CountChecksumSink> op(tree, probe, sink);
-      amac::Run(policy, params, op, probe.size());
-    }
-    best = std::min(best, timer.Elapsed());
+    amac::Run(policy, params, op, probe.size());
+    RunStats run;
+    run.cycles = timer.Elapsed();
+    run.outputs = sink.matches();
+    run.checksum = sink.checksum();
+    if (rep == 0 || run.cycles < best.cycles) best = run;
   }
   return best;
 }
@@ -49,6 +49,7 @@ int Run(int argc, char** argv) {
               "bulk-loaded, 256B nodes, exactly height() accesses per "
               "lookup; compare against fig10_bst");
 
+  OracleCheck oracle;
   TablePrinter table("B+-tree search: cycles per lookup",
                      {"keys (log2)", "height", "Baseline", "GP", "SPP",
                       "AMAC"});
@@ -60,10 +61,12 @@ int Run(int argc, char** argv) {
     std::vector<std::string> row{std::to_string(log2),
                                  std::to_string(tree.height())};
     for (ExecPolicy policy : kPaperPolicies) {
-      const uint64_t cycles =
+      const RunStats run =
           Measure(tree, probe, policy, args.inflight, args.reps);
+      oracle.Check("btree 2^" + std::to_string(log2), SeriesName(policy),
+                   run.outputs, run.checksum);
       row.push_back(TablePrinter::Fmt(
-          static_cast<double>(cycles) / static_cast<double>(n), 1));
+          static_cast<double>(run.cycles) / static_cast<double>(n), 1));
     }
     table.AddRow(row);
   }
@@ -73,7 +76,7 @@ int Run(int argc, char** argv) {
       "AMAC's fig10 advantage (no wasted stages, no bailouts) — evidence "
       "that AMAC's edge on the BST is its irregularity handling, as the "
       "paper argues.\n");
-  return 0;
+  return oracle.ok() ? 0 : 1;
 }
 
 }  // namespace

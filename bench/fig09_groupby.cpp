@@ -1,6 +1,9 @@
 // Figure 9: group-by cycles per output tuple for a small (2^17-class) and a
 // big (2^27-class) input relation, under uniform, Zipf(0.5) and Zipf(1)
 // key distributions, with all six aggregate functions applied per match.
+// Every column runs the one GroupByOp stage machine; Baseline is its
+// kSequential schedule and the oracle the other columns must reproduce
+// bitwise (nonzero exit if not).
 #include <cstdio>
 #include <vector>
 
@@ -20,7 +23,8 @@ Relation MakeInput(uint64_t tuples, double theta, uint64_t seed) {
   return MakeZipfRelation(tuples, tuples / 3, theta, seed);
 }
 
-void RunOne(const char* title, uint64_t tuples, const BenchArgs& args) {
+void RunOne(const char* title, uint64_t tuples, const BenchArgs& args,
+            OracleCheck* oracle) {
   const double kThetas[] = {0.0, 0.5, 1.0};
   TablePrinter table(std::string(title) + " - cycles per input tuple",
                      {"skew", "Baseline", "GP", "SPP", "AMAC", "groups"});
@@ -41,6 +45,8 @@ void RunOne(const char* title, uint64_t tuples, const BenchArgs& args) {
         const RunStats run = RunGroupBy(exec, input, &agg);
         if (rep == 0 || run.cycles < best.cycles) best = run;
       }
+      oracle->Check(std::string(title) + " " + row[0], SeriesName(policy),
+                    best.outputs, best.checksum);
       groups = best.outputs;
       row.push_back(TablePrinter::Fmt(best.CyclesPerInput(), 1));
     }
@@ -61,13 +67,14 @@ int Run(int argc, char** argv) {
               "six aggregates (count/sum/min/max/avg/sumsq) applied per "
               "match; latch per bucket");
 
+  OracleCheck oracle;
   RunOne("Fig 9 small input (2^17-class)",
-         uint64_t{1} << args.flags.GetInt("small_scale_log2"), args);
-  RunOne("Fig 9 big input (2^27-class)", args.scale, args);
+         uint64_t{1} << args.flags.GetInt("small_scale_log2"), args, &oracle);
+  RunOne("Fig 9 big input (2^27-class)", args.scale, args, &oracle);
   std::printf(
       "expected shape: small+skewed - GP/SPP at or below Baseline, AMAC "
       "~1.6x better; big - all prefetchers win ~2-2.6x, AMAC best.\n");
-  return 0;
+  return oracle.ok() ? 0 : 1;
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
 // Figure 10: BST search cycles per output tuple vs tree size (the paper
 // sweeps 2^15..2^29; default here sweeps up to the --scale_log2 cap).
-// The scheduled engines dispatch through the unified runtime (one
-// BstSearchOp, three policies); Baseline stays the hand-written
-// no-prefetch chase that anchors the paper's speedup ratios.
+// Every column runs the one BstSearchOp stage machine through the unified
+// runtime; Baseline is its kSequential schedule (no interleaving), the
+// oracle every other column must reproduce bitwise (nonzero exit if not).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
 #include "bst/bst.h"
-#include "bst/bst_search.h"
-#include "common/cycle_timer.h"
 #include "common/table_printer.h"
 #include "core/ops.h"
 #include "core/scheduler.h"
@@ -19,25 +17,19 @@
 namespace amac::bench {
 namespace {
 
-uint64_t MeasureBst(Executor& exec, const BinarySearchTree& tree,
-                    const Relation& probe, ExecPolicy policy,
-                    uint32_t reps) {
-  uint64_t best = UINT64_MAX;
+/// Min-cycles run of one policy; outputs/checksum are the matches.
+RunStats MeasureBst(Executor& exec, const BinarySearchTree& tree,
+                    const Relation& probe, ExecPolicy policy, uint32_t reps) {
+  exec.set_policy(policy);
+  RunStats best;
   for (uint32_t rep = 0; rep < std::max(1u, reps); ++rep) {
     CountChecksumSink sink;
-    if (policy == ExecPolicy::kSequential) {
-      // The paper's baseline is a plain pointer chase with no prefetches;
-      // keep the hand kernel so the speedup ratios stay comparable.
-      CycleTimer timer;
-      BstSearchBaseline(tree, probe, 0, probe.size(), sink);
-      best = std::min(best, timer.Elapsed());
-    } else {
-      exec.set_policy(policy);
-      const RunStats run = exec.Run(FromOp(probe.size(), [&](uint32_t) {
-        return BstSearchOp<CountChecksumSink>(tree, probe, sink);
-      }));
-      best = std::min(best, run.cycles);
-    }
+    RunStats run = exec.Run(FromOp(probe.size(), [&](uint32_t) {
+      return BstSearchOp<CountChecksumSink>(tree, probe, sink);
+    }));
+    run.outputs = sink.matches();
+    run.checksum = sink.checksum();
+    if (rep == 0 || run.cycles < best.cycles) best = run;
   }
   return best;
 }
@@ -67,6 +59,7 @@ int Run(int argc, char** argv) {
                            SchedulerParams{args.inflight, stages, 0}, 1,
                            0});
 
+  OracleCheck oracle;
   // The vector columns run the 8-wide gathered descent (bst/bst_search.h);
   // on scalar-only hosts they fall back to the equivalent scalar schedule.
   constexpr ExecPolicy kFig10Policies[] = {
@@ -85,10 +78,11 @@ int Run(int argc, char** argv) {
     std::vector<std::string> row{std::to_string(log2),
                                  TablePrinter::Fmt(stats.avg_depth, 1)};
     for (ExecPolicy policy : kFig10Policies) {
-      const uint64_t cycles = MeasureBst(exec, tree, probe, policy,
-                                         args.reps);
+      const RunStats run = MeasureBst(exec, tree, probe, policy, args.reps);
+      oracle.Check("bst 2^" + std::to_string(log2), SeriesName(policy),
+                   run.outputs, run.checksum);
       row.push_back(TablePrinter::Fmt(
-          static_cast<double>(cycles) / static_cast<double>(n), 1));
+          static_cast<double>(run.cycles) / static_cast<double>(n), 1));
     }
     table.AddRow(row);
   }
@@ -96,7 +90,7 @@ int Run(int argc, char** argv) {
   std::printf(
       "expected shape: prefetcher advantage grows with tree height; AMAC > "
       "GP > SPP (paper: 2.8x / 2.1x / 1.8x geomean, AMAC max 4.45x).\n");
-  return 0;
+  return oracle.ok() ? 0 : 1;
 }
 
 }  // namespace

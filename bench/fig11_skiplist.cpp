@@ -1,11 +1,14 @@
 // Figure 11: skip list search and insert cycles per output tuple across
-// list sizes (paper: 2^16, 2^21, 2^25 elements).
+// list sizes (paper: 2^16, 2^21, 2^25 elements).  Search runs the one
+// SkipSearchOp stage machine and insert the one SkipInsertOp under every
+// policy; Baseline is the kSequential schedule and the oracle the other
+// columns must reproduce bitwise (nonzero exit if not): search matches,
+// and the built list's (key, payload) contents.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/cycle_timer.h"
 #include "common/table_printer.h"
 #include "skiplist/skiplist.h"
 #include "skiplist/skiplist_ops.h"
@@ -43,6 +46,7 @@ int Run(int argc, char** argv) {
       "Fig 11 insert: cycles per output tuple",
       {"elements (log2)", "Baseline", "GP", "SPP", "AMAC", "VecAMAC"});
 
+  OracleCheck oracle;
   for (int log2 : sizes) {
     const uint64_t n = uint64_t{1} << log2;
     const Relation rel = MakeDenseUniqueRelation(n, 29);
@@ -67,6 +71,8 @@ int Run(int argc, char** argv) {
         const RunStats run = RunSkipListSearch(exec, list, probe);
         if (rep == 0 || run.cycles < best.cycles) best = run;
       }
+      oracle.Check("search 2^" + std::to_string(log2), SeriesName(policy),
+                   best.outputs, best.checksum);
       search_row.push_back(TablePrinter::Fmt(best.CyclesPerInput(), 1));
 
       // Insert: build a fresh list from scratch per measurement.
@@ -75,6 +81,10 @@ int Run(int argc, char** argv) {
         SkipList fresh(n);
         const RunStats run =
             RunSkipListInsert(exec, &fresh, rel, /*seed=*/100 + rep);
+        if (rep == 0) {
+          oracle.Check("insert 2^" + std::to_string(log2),
+                       SeriesName(policy), fresh.size(), fresh.Checksum());
+        }
         if (rep == 0 || run.cycles < best_insert.cycles) {
           best_insert = run;
         }
@@ -91,7 +101,7 @@ int Run(int argc, char** argv) {
       "expected shape: search - AMAC ~1.9x avg over Baseline, GP/SPP only "
       "~1.15-1.2x (per-level irregularity); insert - gains compressed (CPU-"
       "bound splice): AMAC ~1.4x, GP/SPP ~1.1-1.2x.\n");
-  return 0;
+  return oracle.ok() ? 0 : 1;
 }
 
 }  // namespace

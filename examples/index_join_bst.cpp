@@ -1,13 +1,15 @@
 // Index-join scenario (paper §4): probe a binary search tree index once per
 // outer tuple — "resembling a join scenario with using an index".  Shows
 // how the same AMAC pattern applies beyond hash tables, and how the gain
-// grows with index depth.
+// grows with index depth: one BstSearchOp stage machine, run once with the
+// sequential schedule and once with AMAC.
 #include <cstdio>
 
 #include "bst/bst.h"
-#include "bst/bst_search.h"
 #include "common/cycle_timer.h"
 #include "common/flags.h"
+#include "core/ops.h"
+#include "core/scheduler.h"
 #include "join/sink.h"
 #include "relation/relation.h"
 
@@ -31,15 +33,17 @@ int main(int argc, char** argv) {
 
   const Relation outer = MakeForeignKeyRelation(n, n, 6);
 
+  // Times one schedule of the lookup op over every outer tuple.
+  auto timed = [&](ExecPolicy policy, CountChecksumSink& sink) {
+    BstSearchOp<CountChecksumSink> op(index, outer, sink);
+    CycleTimer timer;
+    Run(policy, SchedulerParams{m, 1}, op, outer.size());
+    return timer.Elapsed();
+  };
   CountChecksumSink base_sink;
-  CycleTimer timer;
-  BstSearchBaseline(index, outer, 0, outer.size(), base_sink);
-  const uint64_t base_cycles = timer.Elapsed();
-
+  const uint64_t base_cycles = timed(ExecPolicy::kSequential, base_sink);
   CountChecksumSink amac_sink;
-  timer.Restart();
-  BstSearchAmac(index, outer, 0, outer.size(), m, amac_sink);
-  const uint64_t amac_cycles = timer.Elapsed();
+  const uint64_t amac_cycles = timed(ExecPolicy::kAmac, amac_sink);
 
   std::printf("baseline: %.1f cycles/lookup, %llu matches\n",
               static_cast<double>(base_cycles) / outer.size(),

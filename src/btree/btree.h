@@ -9,7 +9,8 @@
 // accesses, which shifts the GP/SPP/AMAC trade-offs (bench/ext_btree).
 //
 // Read-only after bulk load (index-probe workloads, like the paper's BST
-// experiment); all four execution engines live in btree_search.h.
+// experiment); lookups run as BTreeSearchOp (btree_ops.h) under any
+// ExecPolicy.
 #pragma once
 
 #include <cstdint>

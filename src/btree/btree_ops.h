@@ -1,8 +1,8 @@
 // B+-tree search as a generic-engine operation (core/scheduler.h).
 //
-// One Step() is one node visit — the same stage boundary as the hand
-// kernels in btree_search.h — so every ExecPolicy (and the parallel
-// driver) runs it without btree-specific scheduling code.
+// One Step() is one node visit (VisitBTreeNode in btree_search.h), so
+// every ExecPolicy (and the parallel driver) runs it without
+// btree-specific scheduling code.
 #pragma once
 
 #include <cstdint>

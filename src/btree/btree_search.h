@@ -1,4 +1,5 @@
-// B+-tree search kernels: Baseline, GP, SPP, AMAC.
+// B+-tree node-visit helpers: the one stage of BTreeSearchOp /
+// BTreeLookupStage (btree_ops.h), plus the no-prefetch reference loop.
 //
 // One stage = one node visit (four cache lines prefetched together).  The
 // tree is balanced, so — unlike the BST and skip list — every lookup needs
@@ -7,12 +8,9 @@
 // much of AMAC's advantage comes from irregularity alone.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "btree/btree.h"
-#include "common/macros.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
 #include "relation/relation.h"
@@ -62,146 +60,14 @@ inline bool VisitBTreeNodeSimd(const BTreeNode* node, int64_t key,
   return true;
 }
 
+/// The no-prefetch lookup loop over [begin, end): the test reference the
+/// BTreeSearchOp stage machine (btree_ops.h) is checked against.
 template <typename Sink>
 void BTreeSearchBaseline(const BTree& tree, const Relation& probe,
                          uint64_t begin, uint64_t end, Sink& sink) {
   for (uint64_t i = begin; i < end; ++i) {
-    const int64_t key = probe[i].key;
-    const BTreeNode* node = tree.root();
-    const BTreeNode* next = nullptr;
-    while (!VisitBTreeNode(node, key, i, sink, &next)) node = next;
-  }
-}
-
-template <typename Sink>
-void BTreeSearchGroupPrefetch(const BTree& tree, const Relation& probe,
-                              uint64_t begin, uint64_t end,
-                              uint32_t group_size, uint32_t num_stages,
-                              Sink& sink) {
-  AMAC_CHECK(group_size >= 1 && num_stages >= 1);
-  struct GpState {
-    const BTreeNode* ptr;
-    int64_t key;
-    uint64_t rid;
-    bool active;
-  };
-  std::vector<GpState> g(group_size);
-  for (uint64_t base = begin; base < end; base += group_size) {
-    const uint32_t in_group =
-        static_cast<uint32_t>(std::min<uint64_t>(group_size, end - base));
-    for (uint32_t j = 0; j < in_group; ++j) {
-      g[j] = GpState{tree.root(), probe[base + j].key, base + j, true};
-      PrefetchBTreeNode(tree.root());
-    }
-    for (uint32_t stage = 0; stage < num_stages; ++stage) {
-      for (uint32_t j = 0; j < in_group; ++j) {
-        if (!g[j].active) continue;
-        const BTreeNode* next = nullptr;
-        if (VisitBTreeNode(g[j].ptr, g[j].key, g[j].rid, sink, &next)) {
-          g[j].active = false;
-        } else {
-          PrefetchBTreeNode(next);
-          g[j].ptr = next;
-        }
-      }
-    }
-    for (uint32_t j = 0; j < in_group; ++j) {  // bailout
-      while (g[j].active) {
-        const BTreeNode* next = nullptr;
-        if (VisitBTreeNode(g[j].ptr, g[j].key, g[j].rid, sink, &next)) {
-          g[j].active = false;
-        } else {
-          g[j].ptr = next;
-        }
-      }
-    }
-  }
-}
-
-template <typename Sink>
-void BTreeSearchSoftwarePipelined(const BTree& tree, const Relation& probe,
-                                  uint64_t begin, uint64_t end,
-                                  uint32_t num_stages, uint32_t distance,
-                                  Sink& sink) {
-  AMAC_CHECK(num_stages >= 1 && distance >= 1);
-  const uint64_t n = end - begin;
-  const uint64_t window = static_cast<uint64_t>(num_stages) * distance;
-  struct SppState {
-    const BTreeNode* ptr;
-    int64_t key;
-    bool active;
-  };
-  std::vector<SppState> pipe(window);
-  for (uint64_t i = 0; i < n + window; ++i) {
-    for (uint32_t s = num_stages; s >= 1; --s) {
-      const uint64_t delay = static_cast<uint64_t>(s) * distance;
-      if (i < delay) continue;
-      const uint64_t t = i - delay;
-      if (t >= n) continue;
-      SppState& st = pipe[t % window];
-      if (!st.active) continue;
-      const uint64_t rid = begin + t;
-      const BTreeNode* next = nullptr;
-      if (VisitBTreeNode(st.ptr, st.key, rid, sink, &next)) {
-        st.active = false;
-      } else if (s == num_stages) {
-        const BTreeNode* node = next;  // bailout
-        while (!VisitBTreeNode(node, st.key, rid, sink, &next)) node = next;
-        st.active = false;
-      } else {
-        PrefetchBTreeNode(next);
-        st.ptr = next;
-      }
-    }
-    if (i < n) {
-      pipe[i % window] = SppState{tree.root(), probe[begin + i].key, true};
-      PrefetchBTreeNode(tree.root());
-    }
-  }
-}
-
-template <typename Sink>
-void BTreeSearchAmac(const BTree& tree, const Relation& probe,
-                     uint64_t begin, uint64_t end, uint32_t num_inflight,
-                     Sink& sink) {
-  AMAC_CHECK(num_inflight >= 1);
-  struct AmacState {
-    const BTreeNode* ptr;
-    int64_t key;
-    uint64_t rid;
-    bool active;
-  };
-  std::vector<AmacState> s(num_inflight);
-  uint64_t next_input = begin;
-  uint32_t num_active = 0;
-  for (uint32_t k = 0; k < num_inflight; ++k) {
-    if (next_input < end) {
-      s[k] = AmacState{tree.root(), probe[next_input].key, next_input, true};
-      PrefetchBTreeNode(tree.root());
-      ++next_input;
-      ++num_active;
-    } else {
-      s[k].active = false;
-    }
-  }
-  uint32_t k = 0;
-  while (num_active > 0) {
-    AmacState& st = s[k];
-    if (st.active) {
-      const BTreeNode* next = nullptr;
-      if (!VisitBTreeNode(st.ptr, st.key, st.rid, sink, &next)) {
-        PrefetchBTreeNode(next);
-        st.ptr = next;
-      } else if (next_input < end) {
-        st = AmacState{tree.root(), probe[next_input].key, next_input, true};
-        ++next_input;
-      } else {
-        st.active = false;
-        --num_active;
-      }
-    }
-    ++k;
-    if (k == num_inflight) k = 0;
+    const int64_t* payload = tree.Find(probe[i].key);
+    if (payload != nullptr) sink.Emit(i, *payload);
   }
 }
 

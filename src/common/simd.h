@@ -84,14 +84,18 @@ AMAC_TARGET_AVX2 inline void Mix64x8Avx2(const uint64_t* in, uint64_t* out) {
 
 AMAC_TARGET_AVX512 inline void Mix64x8Avx512(const uint64_t* in,
                                              uint64_t* out) {
+  // Shifts are the all-lanes zero-masked form: _mm512_srli_epi64 merges
+  // into an intentionally undefined vector, which gcc 12 reports as
+  // maybe-uninitialized once inlined.  Same result on every lane.
+  constexpr __mmask8 kAll = 0xff;
   __m512i k = _mm512_loadu_si512(in);
-  k = _mm512_xor_si512(k, _mm512_srli_epi64(k, 33));
+  k = _mm512_xor_si512(k, _mm512_maskz_srli_epi64(kAll, k, 33));
   k = _mm512_mullo_epi64(
       k, _mm512_set1_epi64(static_cast<long long>(0xff51afd7ed558ccdull)));
-  k = _mm512_xor_si512(k, _mm512_srli_epi64(k, 33));
+  k = _mm512_xor_si512(k, _mm512_maskz_srli_epi64(kAll, k, 33));
   k = _mm512_mullo_epi64(
       k, _mm512_set1_epi64(static_cast<long long>(0xc4ceb9fe1a85ec53ull)));
-  k = _mm512_xor_si512(k, _mm512_srli_epi64(k, 33));
+  k = _mm512_xor_si512(k, _mm512_maskz_srli_epi64(kAll, k, 33));
   _mm512_storeu_si512(out, k);
 }
 

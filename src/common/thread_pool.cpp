@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <chrono>
+
 namespace amac {
 
 void ParallelFor(uint32_t num_threads,
@@ -35,6 +37,14 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop(uint32_t tid) {
+  // Bounds on how long a parked worker waits before re-running the idle
+  // hook.  Work that the hook drains can appear without any notify (an
+  // epoch retirement orphaned after the last hook run needs two more epoch
+  // advances), so a worker never parks indefinitely while a hook is
+  // installed; the backoff doubles per idle wake-up to keep a quiet pool
+  // nearly asleep.
+  constexpr auto kIdleWaitMin = std::chrono::milliseconds(1);
+  constexpr auto kIdleWaitMax = std::chrono::milliseconds(64);
   uint64_t seen = 0;
   for (;;) {
     const std::function<void(uint32_t)>* fn = nullptr;
@@ -45,18 +55,22 @@ void ThreadPool::WorkerLoop(uint32_t tid) {
         return stop_ || generation_ != seen || !tasks_.empty();
       };
       // Each time the worker is about to park with nothing to do, run the
-      // idle hook once (outside the lock — it may take other locks), then
-      // block.  The hook runs once per park, not in a spin: the condvar
-      // wait blocks until the next notify.
+      // idle hook (outside the lock — it may take other locks), then block:
+      // until the next notify without a hook, for at most the current
+      // backoff with one.
+      auto idle_wait = kIdleWaitMin;
       while (!ready()) {
-        if (idle_) {
-          std::function<void()> idle = idle_;
-          lock.unlock();
-          idle();
-          lock.lock();
-          if (ready()) break;
+        if (!idle_) {
+          work_cv_.wait(lock);
+          continue;
         }
-        work_cv_.wait(lock);
+        std::function<void()> idle = idle_;
+        lock.unlock();
+        idle();
+        lock.lock();
+        if (ready()) break;
+        work_cv_.wait_for(lock, idle_wait);
+        idle_wait = std::min(idle_wait * 2, kIdleWaitMax);
       }
       if (stop_) return;
       if (generation_ != seen) {

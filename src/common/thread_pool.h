@@ -73,11 +73,14 @@ class ThreadPool {
   uint64_t queued_tasks() const;
 
   /// Install (or clear, with an empty function) a closure every worker runs
-  /// once each time it is about to park with nothing to do.  The epoch
-  /// subsystem hooks EpochManager::AdvanceAndReclaim here so quiescence
-  /// advances and orphaned retirements drain from otherwise-idle workers.
-  /// The closure must be cheap, must not touch the pool, and must tolerate
-  /// concurrent invocation from several workers.
+  /// each time it is about to park with nothing to do, and again at
+  /// backed-off intervals (1 ms doubling to 64 ms) while it stays parked.
+  /// The epoch subsystem hooks EpochManager::AdvanceAndReclaim here so
+  /// quiescence advances and orphaned retirements drain from otherwise-idle
+  /// workers, even when nothing wakes the pool after the retirement.
+  /// Without a hook, parked workers sleep until notified.  The closure must
+  /// be cheap, must not touch the pool, and must tolerate concurrent
+  /// invocation from several workers.
   void SetIdleTask(std::function<void()> task);
 
  private:

@@ -26,10 +26,10 @@
 //   kDone   : the lookup finished.
 //
 // The engine owns no memory semantics: operations issue their own
-// prefetches (common/prefetch.h) and manage their own latches, exactly as
-// the hand-written kernels do.  Tests verify the hand-written kernels and
-// engine-driven operations produce identical results; the ablation bench
-// measures the abstraction cost.
+// prefetches (common/prefetch.h) and manage their own latches.  Each
+// structure has exactly one such operation; tests check every schedule of
+// it against a plain reference loop, and the ablation bench prices the
+// engine against the paper's hand-written AMAC probe (probe_kernels.h).
 #pragma once
 
 #include <algorithm>

@@ -1,11 +1,9 @@
 // Ready-made operations for the generic engine (core/engine.h).
 //
-// These mirror the hand-written kernels in src/join and src/bst so that (a)
-// tests can verify the engine schedules them to identical results and (b)
-// the ablation bench can price the abstraction against hand-written AMAC.
-// HashBuildOp additionally demonstrates the full Table 1 "Hash Join Build"
-// stage machine with chain walking and latch retry — the generic form the
-// paper tabulates.
+// BstLookupStage / BstSearchOp are the BST's one traversal: every policy,
+// layer and bench runs them.  HashBuildOp additionally demonstrates the
+// full Table 1 "Hash Join Build" stage machine with chain walking and
+// latch retry — the generic form the paper tabulates.
 #pragma once
 
 #include <cstdint>
@@ -143,8 +141,8 @@ class BstSearchOp {
 /// Hash join build as the *generic* Table 1 stage machine: walk the chain
 /// to its tail and append (allocating a node when the tail is full), with a
 /// try-latch on the bucket header that parks the insert on conflict.  This
-/// is the textbook form from the paper's Table 1 — the production kernels
-/// in src/join use the O(1) header-eviction discipline instead (see
+/// is the textbook form from the paper's Table 1 — the production build
+/// (join_ops.h BuildOp) uses the O(1) header-eviction discipline instead (see
 /// DESIGN.md), so this op exists to exercise kRetry and multi-stage builds.
 template <bool kSync>
 class HashBuildOp {

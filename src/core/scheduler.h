@@ -143,9 +143,9 @@ namespace detail {
 
 /// Generic coroutine adapter: the operation's stage machine driven from
 /// inside a coroutine frame.  Start()'s prefetch is followed by one
-/// suspension, then each Step() suspends on kParked/kRetry — exactly the
-/// schedule the hand-written coroutine kernels implement, but derived
-/// mechanically from the same Op the other four policies run.
+/// suspension, then each Step() suspends on kParked/kRetry — the schedule
+/// a hand-written co_await-per-access lookup would have, but derived
+/// mechanically from the same Op the other policies run.
 template <typename Op>
 coro::Task OpTask(Op& op, uint64_t idx, EngineStats& stats) {
   typename Op::State state;

@@ -1,12 +1,14 @@
-// Group-by aggregation as a generic-engine operation (core/scheduler.h).
+// Group-by aggregation as a generic-engine operation (core/scheduler.h):
+// the one group-by traversal every policy, layer and bench runs.
 //
-// The stage machine mirrors GroupByAmac (groupby_kernels.h): a try-latch
-// stage that parks with kRetry on conflict, then a latched chain walk with
-// one node visit per Step — the §3.1 "extra intermediate stage" that keeps
-// a parked lookup from re-acquiring its own latch.  With kSync = true the
-// same op runs under the morsel-driven parallel driver against a shared
-// AggregateTable; aggregation is order-independent, so any policy × thread
-// count combination produces an identical table.
+// The stage machine is the paper's AMAC group-by (Table 1 column 3): a
+// try-latch stage that parks with kRetry on conflict, then a latched chain
+// walk with one node visit per Step — the §3.1 "extra intermediate stage"
+// that keeps a parked lookup from re-acquiring its own latch.  With kSync
+// = true the same op runs under the morsel-driven parallel driver against
+// a shared AggregateTable; aggregation is order-independent, so any policy
+// × thread count combination produces an identical table.
+// GroupByBaseline at the end is the plain loop the tests compare against.
 #pragma once
 
 #include <cstdint>
@@ -16,11 +18,62 @@
 #include "core/engine.h"
 #include "core/pipeline.h"
 #include "groupby/agg_table.h"
-#include "groupby/groupby_kernels.h"
 #include "groupby/vec_groupby.h"
 #include "relation/relation.h"
 
 namespace amac {
+
+namespace detail {
+
+template <bool kSync>
+inline bool GroupTryLatch(GroupNode* head) {
+  if constexpr (kSync) {
+    return head->latch.TryAcquire();
+  } else {
+    return head->latch.TryAcquireUnsync();
+  }
+}
+
+template <bool kSync>
+inline void GroupUnlatch(GroupNode* head) {
+  if constexpr (kSync) {
+    head->latch.Release();
+  } else {
+    head->latch.ReleaseUnsync();
+  }
+}
+
+/// Walk + update/append in one go, for GroupByBaseline.  The caller is
+/// the only writer of the table.
+inline void UpdateOrInsert(AggregateTable& table, GroupNode* head,
+                           int64_t key, int64_t payload) {
+  if (!head->used) {
+    head->used = 1;
+    head->key = key;
+    head->count = 0;
+    head->Accumulate(payload);
+    return;
+  }
+  GroupNode* node = head;
+  while (true) {
+    if (node->key == key) {
+      node->Accumulate(payload);
+      return;
+    }
+    if (node->next == nullptr) break;
+    node = node->next;
+  }
+  GroupNode* fresh = table.AllocNode();
+  fresh->used = 1;
+  fresh->key = key;
+  fresh->count = 0;
+  fresh->Accumulate(payload);
+  // O(1) push-front behind the header; chain order is irrelevant.
+  fresh->next = head->next;
+  head->next = fresh;
+}
+
+}  // namespace detail
 
 template <bool kSync>
 class GroupByOp {
@@ -257,6 +310,16 @@ class AggregateStage {
 template <bool kSync = true>
 AggregateStage<kSync> Aggregate(AggregateTable& table) {
   return AggregateStage<kSync>(table);
+}
+
+/// The no-prefetch, single-threaded aggregation loop over [begin, end):
+/// the test reference GroupByOp's tables are checked against.
+inline void GroupByBaseline(const Relation& input, uint64_t begin,
+                            uint64_t end, AggregateTable& table) {
+  for (uint64_t i = begin; i < end; ++i) {
+    detail::UpdateOrInsert(table, table.HeadForKey(input[i].key),
+                           input[i].key, input[i].payload);
+  }
 }
 
 }  // namespace amac

@@ -53,27 +53,6 @@ BucketNode* ChainedHashTable::AllocOverflowNode() {
   return node;
 }
 
-void ChainedHashTable::InsertInto(BucketNode* head, const Tuple& t) {
-  // Balkesen-style O(1) insert: tuples always land in the header node; when
-  // it is full its contents are evicted into a fresh overflow node that is
-  // linked right behind the header.
-  if (head->count == BucketNode::kTuplesPerNode) {
-    BucketNode* spill = AllocOverflowNode();
-    spill->count = head->count;
-    spill->tuples[0] = head->tuples[0];
-    spill->tuples[1] = head->tuples[1];
-    spill->next = head->next;
-    head->next = spill;
-    head->count = 0;
-    // Slot invariant: the append below refills slot 0; slot 1 would keep
-    // the evicted tuple's key as a ghost the sentinel-compare probe could
-    // match ahead of its spilled copy.
-    head->tuples[1].key = BucketNode::kEmptySlotKey;
-  }
-  head->tuples[head->count++] = t;
-  NoteInsertedKey(t.key);
-}
-
 void ChainedHashTable::InsertUnsync(const Tuple& t) {
   InsertInto(BucketForKey(t.key), t);
 }

@@ -112,12 +112,35 @@ class ChainedHashTable {
   /// Allocate one overflow node (thread-safe bump allocation).
   BucketNode* AllocOverflowNode();
 
+  /// Balkesen-style O(1) insert of `t` into the chain headed by `head`
+  /// (its bucket): tuples always land in the header node; when it is full
+  /// its contents are evicted into a fresh overflow node linked right
+  /// behind the header.  The caller holds head's latch or is the only
+  /// writer.  Inline so the staged build (join_ops.h BuildOp) inlines it.
+  void InsertInto(BucketNode* head, const Tuple& t) {
+    if (head->count == BucketNode::kTuplesPerNode) {
+      BucketNode* spill = AllocOverflowNode();
+      spill->count = head->count;
+      spill->tuples[0] = head->tuples[0];
+      spill->tuples[1] = head->tuples[1];
+      spill->next = head->next;
+      head->next = spill;
+      head->count = 0;
+      // Slot invariant: the append below refills slot 0; slot 1 would keep
+      // the evicted tuple's key as a ghost the sentinel-compare probe could
+      // match ahead of its spilled copy.
+      head->tuples[1].key = BucketNode::kEmptySlotKey;
+    }
+    head->tuples[head->count++] = t;
+    NoteInsertedKey(t.key);
+  }
+
   /// Record that `key` was stored in the table.  A stored key equal to
   /// BucketNode::kEmptySlotKey would be indistinguishable from an unused
   /// slot under the vectorized probe's sentinel compares, so it flips
   /// has_sentinel_key() and the probes fall back to the scalar walk
   /// (bitwise-identical results, no gathers).  Insert paths that write
-  /// tuples directly (join/build_kernels.h, core/ops.h) must call this.
+  /// tuples without InsertInto (core/ops.h HashBuildOp) must call this.
   void NoteInsertedKey(int64_t key) {
     if (AMAC_UNLIKELY(key == BucketNode::kEmptySlotKey) &&
         !has_sentinel_key_.load(std::memory_order_relaxed)) {
@@ -153,8 +176,6 @@ class ChainedHashTable {
   void CollectChain(uint64_t bucket_index, std::vector<Tuple>* out) const;
 
  private:
-  void InsertInto(BucketNode* head, const Tuple& t);
-
   AlignedBuffer<BucketNode> buckets_;
   AlignedBuffer<BucketNode> overflow_pool_;
   std::atomic<uint64_t> pool_next_{0};
@@ -164,7 +185,7 @@ class ChainedHashTable {
 };
 
 /// Build the table from a relation, single-threaded (the baseline build;
-/// the staged build variants live in src/join/build_*).
+/// the staged build is BuildOp in join/join_ops.h).
 void BuildTableUnsync(const Relation& build, ChainedHashTable* table);
 
 /// Latched parallel build on `num_threads` threads.

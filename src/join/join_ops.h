@@ -1,14 +1,12 @@
 // Hash join build and probe as unified-runtime operations.
 //
-// These are the production stage machines the join driver (hash_join.cpp)
-// feeds to Run(ExecPolicy, ...) and the morsel-driven parallel driver — the
-// same lookup logic as the hand-written kernels in probe_kernels.h /
-// build_kernels.h, but expressed once against the core/engine.h Operation
-// concept so every schedule (sequential, GP, SPP, AMAC, coroutine) and any
-// thread count run them without join-specific scheduling code.
-//
-// The hand-written kernels remain for the ablation bench (they price the
-// abstraction) and for kernel-level tests; the drivers no longer use them.
+// These are the join's only traversals: the join driver (hash_join.cpp),
+// the Pipeline/Plan layers and the benches feed them to Run(ExecPolicy,
+// ...) and the morsel-driven parallel driver, so every schedule
+// (sequential, GP, SPP, AMAC, coroutine, vectorized) and any thread count
+// run them without join-specific scheduling code.  The hand-written
+// Baseline/AMAC probe loops in probe_kernels.h remain only as the paper's
+// Listing 1 reference the runtime is priced against.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +17,6 @@
 #include "core/pipeline.h"
 #include "hashtable/chained_table.h"
 #include "hashtable/vec_probe.h"
-#include "join/build_kernels.h"
 #include "relation/relation.h"
 
 namespace amac {
@@ -183,10 +180,10 @@ class BuildOp {
   StepStatus Step(State& st) {
     if constexpr (kSync) {
       if (!st.head->latch.TryAcquire()) return StepStatus::kRetry;
-      detail::InsertLocked(table_, st.head, st.tuple);
+      table_.InsertInto(st.head, st.tuple);
       st.head->latch.Release();
     } else {
-      detail::InsertLocked(table_, st.head, st.tuple);
+      table_.InsertInto(st.head, st.tuple);
     }
     return StepStatus::kDone;
   }

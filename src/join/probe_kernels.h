@@ -1,7 +1,10 @@
-// Hash table probe kernels: Baseline, Group Prefetching (GP),
-// Software-Pipelined Prefetching (SPP), and AMAC.
+// The paper's hand-written hash probe: the no-prefetch Baseline and the
+// Listing 1 AMAC loop.  They are the reference the runtime is priced
+// against (the perfbench ladder's `hand` rung, ablation_engines); every
+// production path probes through the ProbeOp/ProbeStage stage machine in
+// join_ops.h instead, under any ExecPolicy.
 //
-// All four kernels implement the same contract:
+// Both kernels implement the same contract:
 //
 //   for every probe tuple t in [begin, end): walk the chain of t.key's
 //   bucket; for every stored tuple with a matching key call
@@ -10,15 +13,11 @@
 //   the full chain is always visited (paper's "uniform" traversal and the
 //   correct semantics for skewed, non-unique build keys).
 //
-// GP and SPP are implemented faithfully to Chen et al. [8] — including the
-// structural weaknesses the paper analyzes: per-lookup status checks,
-// no-op stages after early termination, and sequential bailout for chains
-// longer than the provisioned stage count.  AMAC follows Listing 1 of the
-// paper, with the terminal/initial stage merge (§3.1 optimization 1) and a
-// rolling (non-modulo) circular-buffer cursor.
+// AMAC follows Listing 1 of the paper, with the terminal/initial stage
+// merge (§3.1 optimization 1) and a rolling (non-modulo) circular-buffer
+// cursor.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -58,125 +57,6 @@ void ProbeBaseline(const ChainedHashTable& ht, const Relation& probe,
     const BucketNode* node = ht.BucketForKey(key);
     const BucketNode* next = nullptr;
     while (!VisitNode<kEarlyExit>(node, key, i, sink, &next)) node = next;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Group Prefetching (Chen et al.): process `group_size` lookups stage by
-// stage.  Stage 0 hashes and prefetches every bucket header; each of the
-// `num_stages` node-visit stages advances every still-active lookup by one
-// node and prefetches the next.  Lookups whose chains outlive the staged
-// visits are finished in a sequential cleanup pass (the "bailout").
-// ---------------------------------------------------------------------------
-template <bool kEarlyExit, typename Sink>
-void ProbeGroupPrefetch(const ChainedHashTable& ht, const Relation& probe,
-                        uint64_t begin, uint64_t end, uint32_t group_size,
-                        uint32_t num_stages, Sink& sink) {
-  AMAC_CHECK(group_size >= 1 && num_stages >= 1);
-  struct GpState {
-    const BucketNode* ptr;
-    int64_t key;
-    uint64_t rid;
-    bool active;
-  };
-  std::vector<GpState> g(group_size);
-
-  for (uint64_t base = begin; base < end; base += group_size) {
-    const uint32_t n_in_group =
-        static_cast<uint32_t>(std::min<uint64_t>(group_size, end - base));
-    // Code stage 0: hash, record state, prefetch bucket header.
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      const int64_t key = probe[base + j].key;
-      const BucketNode* bucket = ht.BucketForKey(key);
-      Prefetch(bucket);
-      g[j] = GpState{bucket, key, base + j, true};
-    }
-    // Node-visit code stages 1..N: every lookup advances one node per
-    // stage.  Early-terminated lookups burn a status check per remaining
-    // stage (the overhead the paper measures as wasted instructions).
-    for (uint32_t stage = 0; stage < num_stages; ++stage) {
-      for (uint32_t j = 0; j < n_in_group; ++j) {
-        if (!g[j].active) continue;
-        const BucketNode* next = nullptr;
-        if (VisitNode<kEarlyExit>(g[j].ptr, g[j].key, g[j].rid, sink,
-                                  &next)) {
-          g[j].active = false;
-        } else {
-          Prefetch(next);
-          g[j].ptr = next;
-        }
-      }
-    }
-    // Cleanup pass (bailout): chains longer than the provisioned stages
-    // finish synchronously, with no overlap across lookups.
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      if (!g[j].active) continue;
-      const BucketNode* node = g[j].ptr;
-      const BucketNode* next = nullptr;
-      while (!VisitNode<kEarlyExit>(node, g[j].key, g[j].rid, sink, &next)) {
-        node = next;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Software-Pipelined Prefetching (Chen et al.): lookup i executes its
-// stage-k code `distance` iterations after stage k-1, so at steady state
-// `num_stages * distance` lookups are in flight, each at a different
-// pipeline depth.  The schedule is static: a lookup that finishes early
-// still occupies its pipeline slot (no-op stages); a lookup whose chain is
-// longer than the pipeline bails out sequentially in its final stage.
-// ---------------------------------------------------------------------------
-template <bool kEarlyExit, typename Sink>
-void ProbeSoftwarePipelined(const ChainedHashTable& ht, const Relation& probe,
-                            uint64_t begin, uint64_t end, uint32_t num_stages,
-                            uint32_t distance, Sink& sink) {
-  AMAC_CHECK(num_stages >= 1 && distance >= 1);
-  const uint64_t n = end - begin;
-  const uint64_t window = static_cast<uint64_t>(num_stages) * distance;
-  struct SppState {
-    const BucketNode* ptr;
-    int64_t key;
-    bool active;
-  };
-  std::vector<SppState> pipe(window);
-
-  // Iteration i: stage 0 for lookup i, stage s for lookup i - s*distance.
-  // Runs (n + window) iterations so the epilogue drains the pipeline.
-  for (uint64_t i = 0; i < n + window; ++i) {
-    // Deepest stage first (matches the loop order of Chen et al., which
-    // consumes the oldest prefetch before issuing new ones).
-    for (uint32_t s = num_stages; s >= 1; --s) {
-      const uint64_t delay = static_cast<uint64_t>(s) * distance;
-      if (i < delay) continue;  // this pipeline depth not yet filled
-      const uint64_t t = i - delay;
-      if (t >= n) continue;
-      SppState& st = pipe[t % window];
-      if (!st.active) continue;  // no-op stage: lookup already finished
-      const BucketNode* next = nullptr;
-      const uint64_t rid = begin + t;
-      if (VisitNode<kEarlyExit>(st.ptr, st.key, rid, sink, &next)) {
-        st.active = false;
-      } else if (s == num_stages) {
-        // Final scheduled stage but the chain continues: bailout.
-        const BucketNode* node = next;
-        while (!VisitNode<kEarlyExit>(node, st.key, rid, sink, &next)) {
-          node = next;
-        }
-        st.active = false;
-      } else {
-        Prefetch(next);
-        st.ptr = next;
-      }
-    }
-    // Stage 0 for the newest lookup.
-    if (i < n) {
-      const int64_t key = probe[begin + i].key;
-      const BucketNode* bucket = ht.BucketForKey(key);
-      Prefetch(bucket);
-      pipe[i % window] = SppState{bucket, key, true};
-    }
   }
 }
 

@@ -135,8 +135,8 @@ class SkipList {
 
   uint64_t size() const { return num_elems_.load(std::memory_order_relaxed); }
 
-  /// Bump the element count after a successful kernel-level splice
-  /// (the staged insert kernels link nodes directly).
+  /// Bump the element count after a successful staged splice
+  /// (SkipInsertOp links nodes directly).
   void AddElems(uint64_t n) {
     num_elems_.fetch_add(n, std::memory_order_relaxed);
   }

@@ -1,5 +1,6 @@
-// Skip list operation drivers: dispatch search/insert over the unified
-// runtime's execution policies with timing, single- or multi-threaded.
+// Skip list operation drivers: search and bulk insert through the unified
+// runtime under any execution policy, single- or multi-threaded, plus the
+// search stage machine (SkipSearchOp / SkipLookupStage) they run.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,11 @@ RunStats RunSkipListSearch(Executor& exec, const SkipList& list,
 
 /// Insert every tuple of `input` into `list` (which is typically empty:
 /// the paper's insert workload "builds a skip list from scratch") under
-/// the executor's policy.  Inserts carry large per-lookup splice state, so
-/// they run the hand-written kernels on the executor's thread team.  The
-/// returned RunStats carry inputs = |input| and outputs = new elements.
+/// the executor's policy: the staged SkipInsertOp (skiplist_write_ops.h)
+/// through the unified runtime, morsel-driven when multi-threaded.  Tower
+/// heights come from an Rng seeded `seed` (plus the slot id on
+/// multi-threaded runs).  Duplicate keys are skipped.  The returned
+/// RunStats carry inputs = |input| and outputs = new elements.
 RunStats RunSkipListInsert(Executor& exec, SkipList* list,
                            const Relation& input, uint64_t seed = 7);
 

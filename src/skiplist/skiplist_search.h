@@ -1,5 +1,7 @@
-// Skip list search kernels: Baseline, GP, SPP, AMAC (paper Table 1 col 5
-// describes insert; search is its prefix without the splice).
+// Skip list search step (paper Table 1 col 5 describes insert; search is
+// its prefix without the splice): the one stage SkipSearchOp and
+// SkipLookupStage (skiplist_ops.h) run under any ExecPolicy, plus the
+// no-prefetch reference loop the tests check them against.
 //
 // A search stage visits one *candidate node* (one dependent memory access).
 // Level descents that need no new node (null / overshoot candidates) happen
@@ -12,11 +14,8 @@
 // current level.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
-#include "common/macros.h"
 #include "common/prefetch.h"
 #include "relation/relation.h"
 #include "skiplist/skiplist.h"
@@ -80,130 +79,14 @@ inline SkipCursor SkipStartCursor(const SkipList& list) {
                     static_cast<int32_t>(SkipList::kMaxLevel) - 1};
 }
 
+/// The no-prefetch lookup loop over [begin, end): the test reference the
+/// SkipSearchOp stage machine (skiplist_ops.h) is checked against.
 template <typename Sink>
 void SkipSearchBaseline(const SkipList& list, const Relation& probe,
                         uint64_t begin, uint64_t end, Sink& sink) {
   for (uint64_t i = begin; i < end; ++i) {
     const SkipNode* match = list.Find(probe[i].key);
     if (match != nullptr) sink.Emit(i, match->payload);
-  }
-}
-
-template <typename Sink>
-void SkipSearchGroupPrefetch(const SkipList& list, const Relation& probe,
-                             uint64_t begin, uint64_t end,
-                             uint32_t group_size, uint32_t num_stages,
-                             Sink& sink) {
-  AMAC_CHECK(group_size >= 1 && num_stages >= 1);
-  struct GpState {
-    SkipCursor cursor;
-    int64_t key;
-    uint64_t rid;
-    bool active;
-  };
-  std::vector<GpState> g(group_size);
-  for (uint64_t base = begin; base < end; base += group_size) {
-    const uint32_t n_in_group =
-        static_cast<uint32_t>(std::min<uint64_t>(group_size, end - base));
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      g[j] = GpState{SkipStartCursor(list), probe[base + j].key, base + j,
-                     true};
-    }
-    for (uint32_t stage = 0; stage < num_stages; ++stage) {
-      for (uint32_t j = 0; j < n_in_group; ++j) {
-        if (!g[j].active) continue;
-        if (SkipSearchStep(g[j].cursor, g[j].key, g[j].rid, sink)) {
-          g[j].active = false;
-        }
-      }
-    }
-    for (uint32_t j = 0; j < n_in_group; ++j) {  // bailout pass
-      while (g[j].active) {
-        if (SkipSearchStep(g[j].cursor, g[j].key, g[j].rid, sink)) {
-          g[j].active = false;
-        }
-      }
-    }
-  }
-}
-
-template <typename Sink>
-void SkipSearchSoftwarePipelined(const SkipList& list, const Relation& probe,
-                                 uint64_t begin, uint64_t end,
-                                 uint32_t num_stages, uint32_t distance,
-                                 Sink& sink) {
-  AMAC_CHECK(num_stages >= 1 && distance >= 1);
-  const uint64_t n = end - begin;
-  const uint64_t window = static_cast<uint64_t>(num_stages) * distance;
-  struct SppState {
-    SkipCursor cursor;
-    int64_t key;
-    bool active;
-  };
-  std::vector<SppState> pipe(window);
-  for (uint64_t i = 0; i < n + window; ++i) {
-    for (uint32_t s = num_stages; s >= 1; --s) {
-      const uint64_t delay = static_cast<uint64_t>(s) * distance;
-      if (i < delay) continue;
-      const uint64_t t = i - delay;
-      if (t >= n) continue;
-      SppState& st = pipe[t % window];
-      if (!st.active) continue;
-      const uint64_t rid = begin + t;
-      if (SkipSearchStep(st.cursor, st.key, rid, sink)) {
-        st.active = false;
-      } else if (s == num_stages) {
-        while (!SkipSearchStep(st.cursor, st.key, rid, sink)) {  // bailout
-        }
-        st.active = false;
-      }
-    }
-    if (i < n) {
-      pipe[i % window] =
-          SppState{SkipStartCursor(list), probe[begin + i].key, true};
-    }
-  }
-}
-
-template <typename Sink>
-void SkipSearchAmac(const SkipList& list, const Relation& probe,
-                    uint64_t begin, uint64_t end, uint32_t num_inflight,
-                    Sink& sink) {
-  AMAC_CHECK(num_inflight >= 1);
-  struct AmacState {
-    SkipCursor cursor;
-    int64_t key;
-    uint64_t rid;
-    bool active;
-  };
-  std::vector<AmacState> s(num_inflight);
-  uint64_t next_input = begin;
-  uint32_t num_active = 0;
-  for (uint32_t k = 0; k < num_inflight; ++k) {
-    if (next_input < end) {
-      s[k] = AmacState{SkipStartCursor(list), probe[next_input].key,
-                       next_input, true};
-      ++next_input;
-      ++num_active;
-    } else {
-      s[k].active = false;
-    }
-  }
-  uint32_t k = 0;
-  while (num_active > 0) {
-    AmacState& st = s[k];
-    if (st.active && SkipSearchStep(st.cursor, st.key, st.rid, sink)) {
-      if (next_input < end) {
-        st = AmacState{SkipStartCursor(list), probe[next_input].key,
-                       next_input, true};
-        ++next_input;
-      } else {
-        st.active = false;
-        --num_active;
-      }
-    }
-    ++k;
-    if (k == num_inflight) k = 0;
   }
 }
 

@@ -155,7 +155,9 @@ TEST_P(AdaptiveExecTest, FusedJoinGroupByMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Threads, AdaptiveExecTest,
                          ::testing::Values(1u, 2u, 4u),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(AdaptiveCacheTest, RepeatedShapeHitsTheCalibrationCache) {

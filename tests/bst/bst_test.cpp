@@ -1,4 +1,5 @@
-// BST structure and search-kernel tests.
+// BST structure and search tests: the BstSearchOp stage machine under
+// every schedule, checked against the plain BstSearchBaseline loop.
 #include "bst/bst.h"
 
 #include <gtest/gtest.h>
@@ -8,12 +9,26 @@
 #include <tuple>
 
 #include "bst/bst_search.h"
+#include "core/ops.h"
+#include "core/scheduler.h"
 #include "join/hash_join.h"
 #include "join/sink.h"
 #include "relation/relation.h"
 
 namespace amac {
 namespace {
+
+/// Run BstSearchOp over probe[begin, end) under `policy`.
+CountChecksumSink SearchWith(ExecPolicy policy, const SchedulerParams& params,
+                             const BinarySearchTree& tree,
+                             const Relation& probe, uint64_t begin,
+                             uint64_t end) {
+  CountChecksumSink sink;
+  BstSearchOp<CountChecksumSink> op(tree, probe, sink);
+  OffsetOp<BstSearchOp<CountChecksumSink>> range(op, begin);
+  Run(policy, params, range, end - begin);
+  return sink;
+}
 
 TEST(BstNodeTest, OccupiesOneCacheLine) {
   EXPECT_EQ(sizeof(BstNode), kCacheLineSize);
@@ -86,26 +101,8 @@ TEST_P(BstSearchEngineTest, FindsEveryKeyAndMatchesBaseline) {
   CountChecksumSink baseline;
   BstSearchBaseline(tree, probe, 0, probe.size(), baseline);
 
-  CountChecksumSink sink;
-  const uint32_t stages = 8;
-  switch (policy) {
-    case ExecPolicy::kSequential:
-      BstSearchBaseline(tree, probe, 0, probe.size(), sink);
-      break;
-    case ExecPolicy::kGroupPrefetch:
-      BstSearchGroupPrefetch(tree, probe, 0, probe.size(), m, stages, sink);
-      break;
-    case ExecPolicy::kSoftwarePipelined:
-      BstSearchSoftwarePipelined(tree, probe, 0, probe.size(), stages,
-                                 std::max(1u, m / stages), sink);
-      break;
-    case ExecPolicy::kAmac:
-      BstSearchAmac(tree, probe, 0, probe.size(), m, sink);
-      break;
-    default:  // kCoroutine/kAdaptive have no hand-written BST kernel
-      ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
-      break;
-  }
+  const CountChecksumSink sink = SearchWith(
+      policy, SchedulerParams{m, 8}, tree, probe, 0, probe.size());
   EXPECT_EQ(sink.matches(), baseline.matches());
   EXPECT_EQ(sink.checksum(), baseline.checksum());
 }
@@ -124,24 +121,29 @@ TEST(BstSearchTest, EmptyTree) {
   BinarySearchTree tree(1);
   Relation probe(10);
   for (uint64_t i = 0; i < 10; ++i) probe[i] = Tuple{static_cast<int64_t>(i), 0};
-  CountChecksumSink sink;
-  BstSearchAmac(tree, probe, 0, probe.size(), 4, sink);
-  EXPECT_EQ(sink.matches(), 0u);
-  BstSearchGroupPrefetch(tree, probe, 0, probe.size(), 4, 2, sink);
-  EXPECT_EQ(sink.matches(), 0u);
+  for (ExecPolicy policy : kAllExecPolicies) {
+    EXPECT_EQ(SearchWith(policy, SchedulerParams{4, 2}, tree, probe, 0,
+                         probe.size())
+                  .matches(),
+              0u)
+        << ExecPolicyName(policy);
+  }
 }
 
 TEST(BstSearchTest, ShortStagesForceBailouts) {
-  // Provision only 1 staged level on a deep tree: GP/SPP must bail out on
-  // nearly every lookup yet stay correct.
+  // Provision only 1 staged level on a deep tree: the GP/SPP schedules
+  // must bail out on nearly every lookup yet stay correct.
   const uint64_t n = 2000;
   const Relation rel = MakeDenseUniqueRelation(n, 85);
   const BinarySearchTree tree = BuildBst(rel);
   const Relation probe = MakeForeignKeyRelation(n, n, 86);
-  CountChecksumSink base, gp, spp;
+  CountChecksumSink base;
   BstSearchBaseline(tree, probe, 0, n, base);
-  BstSearchGroupPrefetch(tree, probe, 0, n, 8, 1, gp);
-  BstSearchSoftwarePipelined(tree, probe, 0, n, 1, 8, spp);
+  const CountChecksumSink gp = SearchWith(
+      ExecPolicy::kGroupPrefetch, SchedulerParams{8, 1}, tree, probe, 0, n);
+  const CountChecksumSink spp =
+      SearchWith(ExecPolicy::kSoftwarePipelined, SchedulerParams{8, 1, 8},
+                 tree, probe, 0, n);
   EXPECT_EQ(gp.checksum(), base.checksum());
   EXPECT_EQ(spp.checksum(), base.checksum());
   EXPECT_EQ(base.matches(), n);
@@ -152,9 +154,10 @@ TEST(BstSearchTest, SubrangeHonored) {
   const Relation rel = MakeDenseUniqueRelation(n, 87);
   const BinarySearchTree tree = BuildBst(rel);
   const Relation probe = MakeForeignKeyRelation(n, n, 88);
-  CountChecksumSink sink;
-  BstSearchAmac(tree, probe, 250, 750, 7, sink);
-  EXPECT_EQ(sink.matches(), 500u);
+  EXPECT_EQ(SearchWith(ExecPolicy::kAmac, SchedulerParams{7, 1}, tree, probe,
+                       250, 750)
+                .matches(),
+            500u);
 }
 
 TEST(BstDeathTest, PoolExhaustionAborts) {

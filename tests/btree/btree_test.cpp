@@ -1,4 +1,5 @@
-// B+-tree structure and search-kernel tests.
+// B+-tree structure and search tests: the BTreeSearchOp stage machine
+// under every schedule, checked against the plain BTreeSearchBaseline loop.
 #include "btree/btree.h"
 
 #include <gtest/gtest.h>
@@ -8,13 +9,24 @@
 #include <map>
 #include <tuple>
 
+#include "btree/btree_ops.h"
 #include "btree/btree_search.h"
+#include "core/scheduler.h"
 #include "join/hash_join.h"
 #include "join/sink.h"
 #include "relation/relation.h"
 
 namespace amac {
 namespace {
+
+/// Run BTreeSearchOp over every probe under `policy`.
+CountChecksumSink SearchWith(ExecPolicy policy, const SchedulerParams& params,
+                             const BTree& tree, const Relation& probe) {
+  CountChecksumSink sink;
+  BTreeSearchOp<CountChecksumSink> op(tree, probe, sink);
+  Run(policy, params, op, probe.size());
+  return sink;
+}
 
 TEST(BTreeNodeTest, LayoutIsFourCacheLines) {
   EXPECT_EQ(sizeof(BTreeNode), 4 * kCacheLineSize);
@@ -115,28 +127,10 @@ TEST_P(BTreeSearchEngineTest, MatchesBaseline) {
   const BTree tree(rel);
   const Relation probe = MakeZipfRelation(n, n + 1000, 0.0, 204);
 
-  CountChecksumSink baseline, sink;
+  CountChecksumSink baseline;
   BTreeSearchBaseline(tree, probe, 0, probe.size(), baseline);
-  const uint32_t stages = tree.height();
-  switch (policy) {
-    case ExecPolicy::kSequential:
-      BTreeSearchBaseline(tree, probe, 0, probe.size(), sink);
-      break;
-    case ExecPolicy::kGroupPrefetch:
-      BTreeSearchGroupPrefetch(tree, probe, 0, probe.size(), m, stages,
-                               sink);
-      break;
-    case ExecPolicy::kSoftwarePipelined:
-      BTreeSearchSoftwarePipelined(tree, probe, 0, probe.size(), stages,
-                                   std::max(1u, m / stages), sink);
-      break;
-    case ExecPolicy::kAmac:
-      BTreeSearchAmac(tree, probe, 0, probe.size(), m, sink);
-      break;
-    default:  // kCoroutine/kAdaptive have no hand-written btree kernel
-      ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
-      break;
-  }
+  const CountChecksumSink sink =
+      SearchWith(policy, SchedulerParams{m, tree.height()}, tree, probe);
   EXPECT_EQ(sink.matches(), baseline.matches()) << ExecPolicyName(policy);
   EXPECT_EQ(sink.checksum(), baseline.checksum()) << ExecPolicyName(policy);
 }
@@ -156,10 +150,13 @@ TEST(BTreeSearchTest, UnderProvisionedStagesStillCorrect) {
   const Relation rel = MakeDenseUniqueRelation(n, 205);
   const BTree tree(rel);
   const Relation probe = MakeForeignKeyRelation(n, n, 206);
-  CountChecksumSink base, gp, spp;
+  CountChecksumSink base;
   BTreeSearchBaseline(tree, probe, 0, n, base);
-  BTreeSearchGroupPrefetch(tree, probe, 0, n, 8, 1, gp);  // bailout-heavy
-  BTreeSearchSoftwarePipelined(tree, probe, 0, n, 1, 8, spp);
+  // One provisioned stage on a multi-level tree: bailout-heavy.
+  const CountChecksumSink gp = SearchWith(ExecPolicy::kGroupPrefetch,
+                                          SchedulerParams{8, 1}, tree, probe);
+  const CountChecksumSink spp = SearchWith(
+      ExecPolicy::kSoftwarePipelined, SchedulerParams{8, 1, 8}, tree, probe);
   EXPECT_EQ(gp.checksum(), base.checksum());
   EXPECT_EQ(spp.checksum(), base.checksum());
   EXPECT_EQ(base.matches(), n);

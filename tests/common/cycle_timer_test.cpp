@@ -20,7 +20,7 @@ TEST(CycleTimerTest, ElapsedGrowsWithWork) {
   CycleTimer timer;
   const uint64_t e1 = timer.Elapsed();
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const uint64_t e2 = timer.Elapsed();
   EXPECT_GT(e2, e1);
 }
@@ -28,7 +28,7 @@ TEST(CycleTimerTest, ElapsedGrowsWithWork) {
 TEST(CycleTimerTest, RestartResetsOrigin) {
   CycleTimer timer;
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 1000000; ++i) sink += i;
+  for (int i = 0; i < 1000000; ++i) sink = sink + i;
   const uint64_t before = timer.Elapsed();
   timer.Restart();
   EXPECT_LT(timer.Elapsed(), before);

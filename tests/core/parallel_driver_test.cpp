@@ -12,7 +12,6 @@
 #include "join/join_ops.h"
 #include "graph/csr.h"
 #include "graph/graph_ops.h"
-#include "groupby/groupby_kernels.h"
 #include "groupby/groupby_ops.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
@@ -84,7 +83,7 @@ TEST(ParallelDriverTest, GroupByMatchesSingleThreadEverywhere) {
   const Relation input = MakeZipfRelation(20000, 1500, 0.8, 313);
 
   AggregateTable base_table(3000, AggregateTable::Options{});
-  GroupByBaseline<false>(input, 0, input.size(), base_table);
+  GroupByBaseline(input, 0, input.size(), base_table);
   const uint64_t base_groups = base_table.CountGroups();
   const uint64_t base_checksum = base_table.Checksum();
 

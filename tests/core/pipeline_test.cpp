@@ -27,7 +27,6 @@
 #include "graph/csr.h"
 #include "graph/graph_ops.h"
 #include "groupby/groupby_ops.h"
-#include "join/build_kernels.h"
 #include "join/join_ops.h"
 #include "join/sink.h"
 #include "relation/relation.h"

@@ -18,7 +18,6 @@
 #include "join/join_ops.h"
 #include "graph/csr.h"
 #include "graph/graph_ops.h"
-#include "groupby/groupby_kernels.h"
 #include "groupby/groupby_ops.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
@@ -192,7 +191,7 @@ TEST(SchedulerTest, GroupByAllPoliciesMatchBaseline) {
   const Relation input = MakeZipfRelation(5000, 600, 0.9, 221);
 
   AggregateTable base_table(1200, AggregateTable::Options{});
-  GroupByBaseline<false>(input, 0, input.size(), base_table);
+  GroupByBaseline(input, 0, input.size(), base_table);
   const uint64_t base_groups = base_table.CountGroups();
   const uint64_t base_checksum = base_table.Checksum();
 

@@ -10,7 +10,8 @@
 #include <map>
 #include <tuple>
 
-#include "groupby/groupby_kernels.h"
+#include "core/scheduler.h"
+#include "groupby/groupby_ops.h"
 
 namespace amac {
 namespace {
@@ -127,7 +128,8 @@ TEST(GroupByTest, SingleHotKeyFullContention) {
 TEST(GroupByTest, AmacTinyWindow) {
   const Relation input = MakeGroupByInput(300, 3, 74);
   AggregateTable table(600, AggregateTable::Options{});
-  GroupByAmac<false>(input, 0, input.size(), 1, table);
+  GroupByOp<false> op(table, input);
+  amac::Run(ExecPolicy::kAmac, SchedulerParams{1, 1}, op, input.size());
   EXPECT_EQ(table.CountGroups(), 300u);
 }
 

@@ -1,14 +1,15 @@
-// Build-kernel equivalence: every engine's build must produce a table with
-// the same per-key contents as the reference build, single- and
-// multi-threaded, for uniform and skewed key distributions.
+// Build equivalence: the BuildOp stage machine under every schedule must
+// produce a table with the same per-key contents as the reference build,
+// single- and multi-threaded, for uniform and skewed key distributions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <vector>
 
-#include "join/build_kernels.h"
+#include "core/scheduler.h"
 #include "join/hash_join.h"
+#include "join/join_ops.h"
 #include "relation/relation.h"
 
 namespace amac {
@@ -87,25 +88,34 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, BuildEngineTest,
                            return ExecPolicyName(info.param);
                          });
 
+/// Single-threaded BuildOp over all of `rel` under `policy`; returns the
+/// number of tuples the table then holds.
+uint64_t BuildWith(ExecPolicy policy, const SchedulerParams& params,
+                   const Relation& rel) {
+  ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
+  BuildOp<false> op(table, rel);
+  Run(policy, params, op, rel.size());
+  return table.ComputeStats().total_tuples;
+}
+
 TEST(BuildKernelTest, AmacBuildWithTinyWindow) {
   const Relation rel = MakeDenseUniqueRelation(1000, 54);
-  ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
-  BuildAmac<false>(rel, 0, rel.size(), 1, table);
-  EXPECT_EQ(table.ComputeStats().total_tuples, rel.size());
+  EXPECT_EQ(BuildWith(ExecPolicy::kAmac, SchedulerParams{1, 1}, rel),
+            rel.size());
 }
 
 TEST(BuildKernelTest, SppBuildWithLargeDistance) {
+  // One insert stage, prefetch distance 64: the pipeline never fills.
   const Relation rel = MakeDenseUniqueRelation(100, 55);
-  ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
-  BuildSoftwarePipelined<false>(rel, 0, rel.size(), 64, table);
-  EXPECT_EQ(table.ComputeStats().total_tuples, rel.size());
+  EXPECT_EQ(BuildWith(ExecPolicy::kSoftwarePipelined,
+                      SchedulerParams{64, 1, 64}, rel),
+            rel.size());
 }
 
 TEST(BuildKernelTest, GpBuildGroupLargerThanInput) {
   const Relation rel = MakeDenseUniqueRelation(10, 56);
-  ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
-  BuildGroupPrefetch<false>(rel, 0, rel.size(), 64, table);
-  EXPECT_EQ(table.ComputeStats().total_tuples, rel.size());
+  EXPECT_EQ(BuildWith(ExecPolicy::kGroupPrefetch, SchedulerParams{64, 1}, rel),
+            rel.size());
 }
 
 }  // namespace

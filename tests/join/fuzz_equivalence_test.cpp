@@ -49,19 +49,25 @@ TEST_P(JoinFuzzTest, RandomWorkloadAllEnginesAgree) {
   const uint32_t m = 1 + static_cast<uint32_t>(rng.NextBounded(20));
   const uint32_t stages = 1 + static_cast<uint32_t>(rng.NextBounded(5));
   const uint32_t dist = std::max<uint32_t>(1, m / stages);
+  // Engines 0/1: the GP/SPP schedules of ProbeOp; 2: the hand AMAC probe.
   for (int engine = 0; engine < 3; ++engine) {
+    const ExecPolicy policy = engine == 0 ? ExecPolicy::kGroupPrefetch
+                                          : ExecPolicy::kSoftwarePipelined;
+    const SchedulerParams params{m, stages, dist};
     CountChecksumSink sink;
     if (early_exit) {
-      switch (engine) {
-        case 0: ProbeGroupPrefetch<true>(table, s, 0, s.size(), m, stages, sink); break;
-        case 1: ProbeSoftwarePipelined<true>(table, s, 0, s.size(), stages, dist, sink); break;
-        case 2: ProbeAmac<true>(table, s, 0, s.size(), m, sink); break;
+      ProbeOp<true, CountChecksumSink> op(table, s, sink);
+      if (engine == 2) {
+        ProbeAmac<true>(table, s, 0, s.size(), m, sink);
+      } else {
+        amac::Run(policy, params, op, s.size());
       }
     } else {
-      switch (engine) {
-        case 0: ProbeGroupPrefetch<false>(table, s, 0, s.size(), m, stages, sink); break;
-        case 1: ProbeSoftwarePipelined<false>(table, s, 0, s.size(), stages, dist, sink); break;
-        case 2: ProbeAmac<false>(table, s, 0, s.size(), m, sink); break;
+      ProbeOp<false, CountChecksumSink> op(table, s, sink);
+      if (engine == 2) {
+        ProbeAmac<false>(table, s, 0, s.size(), m, sink);
+      } else {
+        amac::Run(policy, params, op, s.size());
       }
     }
     EXPECT_EQ(sink.matches(), base.matches())

@@ -1,14 +1,17 @@
-// Equivalence tests for the four probe kernels: on any table and probe
-// relation, GP/SPP/AMAC must produce exactly the baseline's join result
-// (same match count, same order-independent checksum), for any tuning
-// parameters.  Parameterized sweeps cover distributions x engines x M.
+// Probe equivalence: on any table and probe relation, the GP/SPP schedules
+// of the ProbeOp stage machine and the hand-written AMAC probe must produce
+// exactly the baseline loop's join result (same match count, same
+// order-independent checksum), for any tuning parameters.  Parameterized
+// sweeps cover distributions x engines x M.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
 #include <vector>
 
+#include "core/scheduler.h"
 #include "join/hash_join.h"
+#include "join/join_ops.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -30,21 +33,14 @@ CountChecksumSink RunEngine(ExecPolicy policy, const ChainedHashTable& table,
     case ExecPolicy::kSequential:
       ProbeBaseline<kEarlyExit>(table, probe, 0, probe.size(), sink);
       break;
-    case ExecPolicy::kGroupPrefetch:
-      ProbeGroupPrefetch<kEarlyExit>(table, probe, 0, probe.size(), m,
-                                     stages, sink);
-      break;
-    case ExecPolicy::kSoftwarePipelined:
-      ProbeSoftwarePipelined<kEarlyExit>(
-          table, probe, 0, probe.size(), stages,
-          std::max(1u, m / std::max(1u, stages)), sink);
-      break;
     case ExecPolicy::kAmac:
       ProbeAmac<kEarlyExit>(table, probe, 0, probe.size(), m, sink);
       break;
-    default:  // kCoroutine/kAdaptive have no hand-written probe kernel
-      ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
+    default: {
+      ProbeOp<kEarlyExit, CountChecksumSink> op(table, probe, sink);
+      Run(policy, SchedulerParams{m, stages}, op, probe.size());
       break;
+    }
   }
   return sink;
 }
@@ -129,9 +125,10 @@ TEST(ProbeTest, EmptyProbeRelation) {
   CountChecksumSink sink;
   ProbeAmac<true>(table, probe, 0, 0, 10, sink);
   EXPECT_EQ(sink.matches(), 0u);
-  ProbeGroupPrefetch<true>(table, probe, 0, 0, 5, 2, sink);
+  ProbeOp<true, CountChecksumSink> op(table, probe, sink);
+  amac::Run(ExecPolicy::kGroupPrefetch, SchedulerParams{5, 2}, op, 0);
   EXPECT_EQ(sink.matches(), 0u);
-  ProbeSoftwarePipelined<true>(table, probe, 0, 0, 2, 3, sink);
+  amac::Run(ExecPolicy::kSoftwarePipelined, SchedulerParams{6, 2, 3}, op, 0);
   EXPECT_EQ(sink.matches(), 0u);
 }
 

@@ -1,5 +1,6 @@
 // Concurrent skip list insert tests: Pugh latched splice under real thread
-// interleavings, for the reference insert and for every staged kernel.
+// interleavings, for the reference insert and for RunSkipListInsert's
+// SkipInsertOp under every policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 #include "join/sink.h"
 #include "relation/relation.h"
 #include "skiplist/skiplist.h"
-#include "skiplist/skiplist_insert.h"
 #include "skiplist/skiplist_ops.h"
 #include "skiplist/skiplist_search.h"
 
@@ -128,8 +128,14 @@ TEST_P(SkipInsertMtTest, OverlappingKeysAcrossThreads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, SkipInsertMtTest,
-                         ::testing::Values(ExecPolicy::kSequential, ExecPolicy::kGroupPrefetch,
-                                           ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac),
+                         ::testing::Values(ExecPolicy::kSequential,
+                                           ExecPolicy::kGroupPrefetch,
+                                           ExecPolicy::kSoftwarePipelined,
+                                           ExecPolicy::kAmac,
+                                           ExecPolicy::kCoroutine,
+                                           ExecPolicy::kVectorized,
+                                           ExecPolicy::kVectorizedAmac,
+                                           ExecPolicy::kAdaptive),
                          [](const auto& info) {
                            return ExecPolicyName(info.param);
                          });

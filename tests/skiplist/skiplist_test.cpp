@@ -1,5 +1,5 @@
-// Skip list structure, search-kernel, and single-threaded insert-kernel
-// tests.
+// Skip list structure tests, and the search / insert stage machines
+// (SkipSearchOp, SkipInsertOp) under every schedule, single-threaded.
 #include "skiplist/skiplist.h"
 
 #include <gtest/gtest.h>
@@ -11,12 +11,22 @@
 
 #include "join/sink.h"
 #include "relation/relation.h"
-#include "skiplist/skiplist_insert.h"
+#include "core/scheduler.h"
 #include "skiplist/skiplist_ops.h"
 #include "skiplist/skiplist_search.h"
+#include "skiplist/skiplist_write_ops.h"
 
 namespace amac {
 namespace {
+
+/// Run SkipSearchOp over every probe under `policy`.
+CountChecksumSink SearchWith(ExecPolicy policy, const SchedulerParams& params,
+                             const SkipList& list, const Relation& probe) {
+  CountChecksumSink sink;
+  SkipSearchOp<CountChecksumSink> op(list, probe, sink);
+  Run(policy, params, op, probe.size());
+  return sink;
+}
 
 TEST(SkipNodeTest, SizeRoundsToCacheLines) {
   EXPECT_EQ(SkipNode::BytesForHeight(1), 64u);
@@ -102,7 +112,9 @@ TEST(SkipListTest, FindPredecessorsBracketsKey) {
   FindPredecessors(list, 501, preds, succs);  // odd key: absent
   for (uint32_t l = 0; l < SkipList::kMaxLevel; ++l) {
     EXPECT_LT(preds[l]->key, 501);
-    if (succs[l] != nullptr) EXPECT_GT(succs[l]->key, 501);
+    if (succs[l] != nullptr) {
+      EXPECT_GT(succs[l]->key, 501);
+    }
     if (l > 0 && succs[l] != nullptr) {
       EXPECT_GE(succs[l]->height, l + 1);
     }
@@ -112,7 +124,7 @@ TEST(SkipListTest, FindPredecessorsBracketsKey) {
   EXPECT_EQ(succs[0]->key, 502);
 }
 
-// --- search kernels --------------------------------------------------------
+// --- search --------------------------------------------------------------
 
 class SkipSearchEngineTest
     : public ::testing::TestWithParam<std::tuple<ExecPolicy, uint32_t>> {};
@@ -153,23 +165,27 @@ TEST(SkipSearchTest, EveryUniqueKeyFoundExactlyOnce) {
   const Relation rel = MakeDenseUniqueRelation(n, 94);
   for (const Tuple& t : rel) list.InsertUnsync(t.key, t.payload, rng);
   Relation probe = MakeForeignKeyRelation(n, n, 95);
-  CountChecksumSink sink;
-  SkipSearchAmac(list, probe, 0, n, 10, sink);
-  EXPECT_EQ(sink.matches(), n);
+  EXPECT_EQ(
+      SearchWith(ExecPolicy::kAmac, SchedulerParams{10, 1}, list, probe)
+          .matches(),
+      n);
 }
 
 TEST(SkipSearchTest, EmptyListFindsNothing) {
   SkipList list(10);
   Relation probe(5);
   for (uint64_t i = 0; i < 5; ++i) probe[i] = Tuple{static_cast<int64_t>(i + 1), 0};
-  CountChecksumSink sink;
-  SkipSearchAmac(list, probe, 0, probe.size(), 3, sink);
-  EXPECT_EQ(sink.matches(), 0u);
-  SkipSearchGroupPrefetch(list, probe, 0, probe.size(), 2, 3, sink);
-  EXPECT_EQ(sink.matches(), 0u);
+  EXPECT_EQ(
+      SearchWith(ExecPolicy::kAmac, SchedulerParams{3, 1}, list, probe)
+          .matches(),
+      0u);
+  EXPECT_EQ(SearchWith(ExecPolicy::kGroupPrefetch, SchedulerParams{2, 3},
+                       list, probe)
+                .matches(),
+            0u);
 }
 
-// --- single-threaded insert kernels ---------------------------------------
+// --- single-threaded insert (RunSkipListInsert -> SkipInsertOp) ---------------------------------------
 
 class SkipInsertEngineTest
     : public ::testing::TestWithParam<std::tuple<ExecPolicy, uint32_t>> {};
@@ -212,8 +228,14 @@ TEST_P(SkipInsertEngineTest, DuplicatesSkipped) {
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesByWindow, SkipInsertEngineTest,
-    ::testing::Combine(::testing::Values(ExecPolicy::kSequential, ExecPolicy::kGroupPrefetch,
-                                         ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac),
+    ::testing::Combine(::testing::Values(ExecPolicy::kSequential,
+                                         ExecPolicy::kGroupPrefetch,
+                                         ExecPolicy::kSoftwarePipelined,
+                                         ExecPolicy::kAmac,
+                                         ExecPolicy::kCoroutine,
+                                         ExecPolicy::kVectorized,
+                                         ExecPolicy::kVectorizedAmac,
+                                         ExecPolicy::kAdaptive),
                        ::testing::Values(1u, 6u, 12u)),
     [](const auto& info) {
       return std::string(ExecPolicyName(std::get<0>(info.param))) + "_m" +
