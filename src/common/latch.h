@@ -62,6 +62,23 @@ class Latch {
 
 static_assert(sizeof(Latch) == 1, "latch must stay a single byte");
 
+/// Latch::TryAcquire when kSync, else TryAcquireUnsync: for code templated
+/// on whether other threads share the latch.
+template <bool kSync>
+inline bool TryAcquireLatch(Latch& latch) {
+  return kSync ? latch.TryAcquire() : latch.TryAcquireUnsync();
+}
+
+/// Latch::Release when kSync, else ReleaseUnsync.
+template <bool kSync>
+inline void ReleaseLatch(Latch& latch) {
+  if constexpr (kSync) {
+    latch.Release();
+  } else {
+    latch.ReleaseUnsync();
+  }
+}
+
 /// RAII guard for the spinning Acquire() mode.
 class LatchGuard {
  public:

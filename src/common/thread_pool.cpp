@@ -1,7 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <chrono>
-
 namespace amac {
 
 void ParallelFor(uint32_t num_threads,
@@ -37,15 +35,8 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop(uint32_t tid) {
-  // Bounds on how long a parked worker waits before re-running the idle
-  // hook.  Work that the hook drains can appear without any notify (an
-  // epoch retirement orphaned after the last hook run needs two more epoch
-  // advances), so a worker never parks indefinitely while a hook is
-  // installed; the backoff doubles per idle wake-up to keep a quiet pool
-  // nearly asleep.
-  constexpr auto kIdleWaitMin = std::chrono::milliseconds(1);
-  constexpr auto kIdleWaitMax = std::chrono::milliseconds(64);
   uint64_t seen = 0;
+  bool worked = false;  // ran a closure or task since the last idle hook
   for (;;) {
     const std::function<void(uint32_t)>* fn = nullptr;
     std::function<void()> task;
@@ -54,23 +45,20 @@ void ThreadPool::WorkerLoop(uint32_t tid) {
       const auto ready = [&] {
         return stop_ || generation_ != seen || !tasks_.empty();
       };
-      // Each time the worker is about to park with nothing to do, run the
-      // idle hook (outside the lock — it may take other locks), then block:
-      // until the next notify without a hook, for at most the current
-      // backoff with one.
-      auto idle_wait = kIdleWaitMin;
+      // Each time the worker runs out of work, run the idle hook once
+      // (outside the lock — it may take other locks), then block until the
+      // next notify.  A worker that did no work since its last hook run (a
+      // fresh or spuriously woken one) parks without running it.
       while (!ready()) {
-        if (!idle_) {
-          work_cv_.wait(lock);
-          continue;
+        if (worked && idle_) {
+          worked = false;
+          std::function<void()> idle = idle_;
+          lock.unlock();
+          idle();
+          lock.lock();
+          if (ready()) break;
         }
-        std::function<void()> idle = idle_;
-        lock.unlock();
-        idle();
-        lock.lock();
-        if (ready()) break;
-        work_cv_.wait_for(lock, idle_wait);
-        idle_wait = std::min(idle_wait * 2, kIdleWaitMax);
+        work_cv_.wait(lock);
       }
       if (stop_) return;
       if (generation_ != seen) {
@@ -83,6 +71,7 @@ void ThreadPool::WorkerLoop(uint32_t tid) {
         tasks_.pop_front();
       }
     }
+    worked = true;
     if (fn != nullptr) {
       (*fn)(tid);
       std::lock_guard<std::mutex> lock(mu_);
@@ -131,12 +120,8 @@ bool ThreadPool::TryRunTask() {
 }
 
 void ThreadPool::SetIdleTask(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    idle_ = std::move(task);
-  }
-  // Wake parked workers so the new hook runs at least once promptly.
-  work_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  idle_ = std::move(task);
 }
 
 uint64_t ThreadPool::queued_tasks() const {

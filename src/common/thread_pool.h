@@ -73,13 +73,13 @@ class ThreadPool {
   uint64_t queued_tasks() const;
 
   /// Install (or clear, with an empty function) a closure every worker runs
-  /// each time it is about to park with nothing to do, and again at
-  /// backed-off intervals (1 ms doubling to 64 ms) while it stays parked.
-  /// The epoch subsystem hooks EpochManager::AdvanceAndReclaim here so
-  /// quiescence advances and orphaned retirements drain from otherwise-idle
-  /// workers, even when nothing wakes the pool after the retirement.
-  /// Without a hook, parked workers sleep until notified.  The closure must
-  /// be cheap, must not touch the pool, and must tolerate concurrent
+  /// once each time it runs out of work: after a task or fork-join closure,
+  /// before parking.  Installing it wakes no one, and a worker that has
+  /// done no work since its last run does not run it again, so the hook
+  /// never fires on an idle pool.  The epoch subsystem hooks
+  /// EpochManager::AdvanceAndReclaim here so quiescence advances and
+  /// orphaned retirements drain from workers between queries.  The closure
+  /// must be cheap, must not touch the pool, and must tolerate concurrent
   /// invocation from several workers.
   void SetIdleTask(std::function<void()> task);
 

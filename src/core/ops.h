@@ -168,9 +168,7 @@ class HashBuildOp {
 
   StepStatus Step(State& st) {
     if (!st.latched) {
-      const bool ok = kSync ? st.head->latch.TryAcquire()
-                            : st.head->latch.TryAcquireUnsync();
-      if (!ok) return StepStatus::kRetry;
+      if (!TryAcquireLatch<kSync>(st.head->latch)) return StepStatus::kRetry;
       st.latched = true;
       st.ptr = st.head;
     }
@@ -195,11 +193,7 @@ class HashBuildOp {
 
  private:
   void Unlatch(State& st) {
-    if constexpr (kSync) {
-      st.head->latch.Release();
-    } else {
-      st.head->latch.ReleaseUnsync();
-    }
+    ReleaseLatch<kSync>(st.head->latch);
     st.latched = false;
   }
 

@@ -22,14 +22,6 @@ EpochManager::~EpochManager() {
   ReclaimAll();
 }
 
-uint32_t EpochManager::active_guards() const {
-  uint32_t n = 0;
-  for (const Participant& p : participants_) {
-    if (p.used.load(std::memory_order_acquire)) ++n;
-  }
-  return n;
-}
-
 bool EpochManager::TryAdvance() {
   const uint64_t e = global_.load(std::memory_order_seq_cst);
   for (const Participant& p : participants_) {
@@ -68,6 +60,14 @@ void EpochManager::SweepOrphans() {
   SweepList(&orphans_);
 }
 
+void EpochManager::DrainOrphans() {
+  std::lock_guard<std::mutex> lock(orphan_mu_);
+  if (orphans_.empty()) return;
+  TryAdvance();
+  TryAdvance();
+  SweepList(&orphans_);
+}
+
 void EpochManager::AdvanceAndReclaim() {
   TryAdvance();
   SweepOrphans();
@@ -91,6 +91,7 @@ EpochManager::Participant* EpochManager::AcquireParticipant() {
       if (!p.used.load(std::memory_order_relaxed) &&
           p.used.compare_exchange_strong(expected, true,
                                          std::memory_order_acq_rel)) {
+        live_guards_.fetch_add(1, std::memory_order_acq_rel);
         return &p;
       }
     }
@@ -108,9 +109,10 @@ EpochManager::Participant* EpochManager::AcquireParticipant() {
   }
 }
 
-void EpochManager::ReleaseParticipant(Participant* p) {
+bool EpochManager::ReleaseParticipant(Participant* p) {
   p->epoch.store(0, std::memory_order_release);
   p->used.store(false, std::memory_order_release);
+  return live_guards_.fetch_sub(1, std::memory_order_acq_rel) == 1;
 }
 
 EpochGuard::EpochGuard(EpochManager* manager) : manager_(manager) {
@@ -190,7 +192,10 @@ void EpochGuard::Release() {
     }
   }
   participant_->retirees.clear();
-  manager_->ReleaseParticipant(participant_);
+  // The last guard out leaves nothing pinned: drain the orphans now, so a
+  // domain that goes idle never keeps retirements waiting for a later
+  // guard or idle hook that may not come.
+  if (manager_->ReleaseParticipant(participant_)) manager_->DrainOrphans();
   participant_ = nullptr;
   manager_ = nullptr;
 }

@@ -30,9 +30,11 @@
 //     `retire_batch` retirements the guard tries to advance the epoch and
 //     sweeps its own list.  Whatever is still unreclaimable when the guard
 //     dies moves to a mutex-guarded orphan list on the manager, swept by
-//     later guards and by the ThreadPool idle hook
+//     later guards, by the ThreadPool idle hook
 //     (ThreadPool::SetIdleTask -> EpochManager::AdvanceAndReclaim), which
-//     drives quiescence from workers that have run out of tasks.
+//     drives quiescence from workers that have run out of tasks, and by
+//     the last live guard's release: with nothing pinned, two advances
+//     free every orphan, so retirements never outlive the last guard.
 //
 // Lifetime rule: deleters typically push nodes back onto the owning
 // structure's free list, so the structure must outlive every pending
@@ -100,7 +102,9 @@ class EpochManager {
     return advances_.load(std::memory_order_relaxed);
   }
   /// Live guard count (racy snapshot; observability/tests).
-  uint32_t active_guards() const;
+  uint32_t active_guards() const {
+    return live_guards_.load(std::memory_order_acquire);
+  }
   const Options& options() const { return options_; }
 
  private:
@@ -124,11 +128,15 @@ class EpochManager {
   };
 
   Participant* AcquireParticipant();
-  void ReleaseParticipant(Participant* p);
+  /// True when `p` was the last live guard's slot.
+  bool ReleaseParticipant(Participant* p);
   /// Free list entries with epoch <= global - 2; returns survivors in
   /// place.  Caller owns `list` exclusively.
   void SweepList(std::vector<Retiree>* list);
   void SweepOrphans();
+  /// With no guard pinned: advance twice (every orphan's grace period
+  /// ends) and sweep the orphan list.  No-op while the list is empty.
+  void DrainOrphans();
 
   Options options_;
   std::atomic<uint64_t> global_{2};  ///< starts at 2 so epoch-2 never wraps
@@ -138,6 +146,7 @@ class EpochManager {
   std::atomic<uint64_t> retired_{0};
   std::atomic<uint64_t> reclaimed_{0};
   std::atomic<uint64_t> advances_{0};
+  std::atomic<uint32_t> live_guards_{0};
 };
 
 /// RAII pin on the current epoch.  While a guard lives, nothing retired at

@@ -25,24 +25,6 @@ namespace amac {
 
 namespace detail {
 
-template <bool kSync>
-inline bool GroupTryLatch(GroupNode* head) {
-  if constexpr (kSync) {
-    return head->latch.TryAcquire();
-  } else {
-    return head->latch.TryAcquireUnsync();
-  }
-}
-
-template <bool kSync>
-inline void GroupUnlatch(GroupNode* head) {
-  if constexpr (kSync) {
-    head->latch.Release();
-  } else {
-    head->latch.ReleaseUnsync();
-  }
-}
-
 /// Walk + update/append in one go, for GroupByBaseline.  The caller is
 /// the only writer of the table.
 inline void UpdateOrInsert(AggregateTable& table, GroupNode* head,
@@ -112,7 +94,7 @@ class GroupByOp {
     if (!st.latched) {
       // Single try-acquire; on failure the scheduler parks the lookup and
       // tours the other in-flight slots (§3.2: no per-lookup spinning).
-      if (!detail::GroupTryLatch<kSync>(st.head)) return StepStatus::kRetry;
+      if (!TryAcquireLatch<kSync>(st.head->latch)) return StepStatus::kRetry;
       st.latched = true;
       st.ptr = st.head;
     }
@@ -205,7 +187,7 @@ class GroupByOp {
     while (unlatched != 0) {
       const uint32_t lane = static_cast<uint32_t>(__builtin_ctz(unlatched));
       unlatched &= unlatched - 1;
-      if (detail::GroupTryLatch<kSync>(st.head[lane])) {
+      if (TryAcquireLatch<kSync>(st.head[lane]->latch)) {
         st.latched |= 1u << lane;
         st.ptr[lane] = st.head[lane];
       }
@@ -266,7 +248,7 @@ class GroupByOp {
         fresh->next = st.head[lane]->next;
         st.head[lane]->next = fresh;
       }
-      detail::GroupUnlatch<kSync>(st.head[lane]);
+      ReleaseLatch<kSync>(st.head[lane]->latch);
       st.latched &= ~(1u << lane);
       st.active &= ~(1u << lane);
     }
@@ -275,7 +257,7 @@ class GroupByOp {
 
  private:
   void Unlatch(State& st) {
-    detail::GroupUnlatch<kSync>(st.head);
+    ReleaseLatch<kSync>(st.head->latch);
     st.latched = false;
   }
 

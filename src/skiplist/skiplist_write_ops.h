@@ -34,28 +34,6 @@
 
 namespace amac {
 
-namespace detail {
-
-template <bool kSync>
-inline bool SkipTryLatch(SkipNode* n) {
-  if constexpr (kSync) {
-    return n->latch.TryAcquire();
-  } else {
-    return n->latch.TryAcquireUnsync();
-  }
-}
-
-template <bool kSync>
-inline void SkipUnlatch(SkipNode* n) {
-  if constexpr (kSync) {
-    n->latch.Release();
-  } else {
-    n->latch.ReleaseUnsync();
-  }
-}
-
-}  // namespace detail
-
 /// Search-phase state of one insert: the cursor plus the collected
 /// predecessor/successor vectors (the 0.5 KB the paper attributes to each
 /// in-flight skip list insert).
@@ -168,17 +146,17 @@ class BasicSkipInsertOp {
     while (st.splice_level < st.height) {
       const uint32_t l = st.splice_level;
       SkipNode* pred = st.pred;
-      if (!detail::SkipTryLatch<kSync>(pred)) return StepStatus::kRetry;
+      if (!TryAcquireLatch<kSync>(pred->latch)) return StepStatus::kRetry;
       if (SkipNodeDeleted(pred)) {
         // Dying predecessor: re-walk this level, retry when we come round.
-        detail::SkipUnlatch<kSync>(pred);
+        ReleaseLatch<kSync>(pred->latch);
         st.pred = FindPredAtLevel(*list_, st.key, l);
         return StepStatus::kRetry;
       }
       SkipNode* succ = LoadNextAcquire(pred, l);
       if (succ != nullptr && succ->key < st.key) {
         // A concurrent insert advanced this level; chase asynchronously.
-        detail::SkipUnlatch<kSync>(pred);
+        ReleaseLatch<kSync>(pred->latch);
         st.pred = succ;
         PrefetchSkipNode(succ, static_cast<int32_t>(l));
         return StepStatus::kParked;
@@ -186,16 +164,16 @@ class BasicSkipInsertOp {
       if (l == 0 && succ != nullptr && succ->key == st.key) {
         if (SkipNodeDeleted(succ)) {
           // Mid-erase duplicate: wait out the unlink via retry.
-          detail::SkipUnlatch<kSync>(pred);
+          ReleaseLatch<kSync>(pred->latch);
           return StepStatus::kRetry;
         }
-        detail::SkipUnlatch<kSync>(pred);
+        ReleaseLatch<kSync>(pred->latch);
         --inflight_;  // lost the race; abandon the allocated node
         return StepStatus::kDone;
       }
       st.node->next[l] = succ;
       StoreNextRelease(pred, l, st.node);
-      detail::SkipUnlatch<kSync>(pred);
+      ReleaseLatch<kSync>(pred->latch);
       ++st.splice_level;
       if (st.splice_level < st.height) {
         st.pred = st.search.preds[st.splice_level];
